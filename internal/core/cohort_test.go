@@ -107,7 +107,7 @@ func TestCohortParityTombstoned(t *testing.T) {
 	cc := NewCohortContext()
 	refs := make([][]vecmath.Neighbor, len(queries))
 	for qi := range refs {
-		refs[qi] = copyNeighbors(idx.SearchLiveCtx(solo, queries[qi], 10, 40, dead, nil))
+		refs[qi] = copyNeighbors(idx.SearchLiveCtx(solo, queries[qi], 10, 40, dead, nil).Neighbors)
 	}
 	for _, size := range cohortSizes {
 		for lo := 0; lo < len(queries); lo += size {

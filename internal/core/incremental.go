@@ -198,24 +198,26 @@ func (t *Tombstones) Clone() *Tombstones {
 // The result is caller-owned; hot loops should prefer SearchLiveCtx.
 func (x *NSG) SearchLive(query []float32, k, l int, t *Tombstones, counter *vecmath.Counter) []vecmath.Neighbor {
 	ctx := getCtx()
-	out := copyNeighbors(x.SearchLiveCtx(ctx, query, k, l, t, counter))
+	out := copyNeighbors(x.SearchLiveCtx(ctx, query, k, l, t, counter).Neighbors)
 	putCtx(ctx)
 	return out
 }
 
-// SearchLiveCtx is SearchLive with caller-owned scratch; the tombstone
-// filter runs in place on the context's result buffer, so the steady state
-// allocates nothing. The returned slice aliases ctx and is valid until
-// ctx's next search.
-func (x *NSG) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, t *Tombstones, counter *vecmath.Counter) []vecmath.Neighbor {
+// SearchLiveCtx is SearchLive with caller-owned scratch, plus the path
+// length of its one traversal; the tombstone filter runs in place on the
+// context's result buffer, so the steady state allocates nothing. The
+// returned Neighbors alias ctx and are valid until ctx's next search.
+func (x *NSG) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, t *Tombstones, counter *vecmath.Counter) SearchResult {
 	if t == nil || t.Len() == 0 {
-		return x.SearchCtx(ctx, query, k, l, counter)
+		return x.SearchWithHopsCtx(ctx, query, k, l, counter)
 	}
 	fetch := k + t.Len()
 	if l < fetch {
 		l = fetch
 	}
-	return filterDead(x.SearchCtx(ctx, query, fetch, l, counter), t, k)
+	res := x.SearchWithHopsCtx(ctx, query, fetch, l, counter)
+	res.Neighbors = filterDead(res.Neighbors, t, k)
+	return res
 }
 
 // Compact rebuilds the index without the tombstoned points, returning the

@@ -52,18 +52,48 @@ func BatchL2Decomp(q []float32, m Matrix, norms, out []float32) {
 // L2ToRows is the batched gather kernel the construction and search loops
 // use: it writes the squared distance from query to base row ids[i] into
 // out[i] for every i. One call replaces len(ids) separate L2 calls, keeping
-// the candidate-expansion loop free of per-distance call overhead and giving
-// a single site to vectorize. Results are bit-identical to calling L2 per
-// row. out must be at least len(ids) long.
+// the candidate-expansion loop free of per-distance call overhead. On AVX2
+// hardware (see AVX2) each row goes straight to the AVX2 kernel, with the
+// id and dimension checks done once for the whole call; either way every
+// result is bit-identical to calling L2 per row. out must be at least
+// len(ids) long. Panics if len(query) != base.Dim or an id is outside
+// [0, base.Rows).
 func L2ToRows(base Matrix, query []float32, ids []int32, out []float32) {
 	if len(out) < len(ids) {
 		panic("vecmath: L2ToRows output shorter than ids")
 	}
 	dim := base.Dim
+	if len(query) != dim {
+		panic(fmt.Sprintf("vecmath: dimension mismatch %d != %d", len(query), dim))
+	}
+	checkRows(base, ids)
 	data := base.Data
+	if !useAVX2 || dim < 8 {
+		for i, id := range ids {
+			off := int(id) * dim
+			out[i] = l2Generic(query, data[off:off+dim:off+dim])
+		}
+		return
+	}
+	n := dim &^ 7
 	for i, id := range ids {
 		off := int(id) * dim
-		out[i] = L2(query, data[off:off+dim:off+dim])
+		out[i] = l2Tail(l2AVX2(&query[0], &data[off], n), query, data[off:off+dim:off+dim], n)
+	}
+}
+
+// checkRows panics unless m's backing slice holds m.Rows rows and every id
+// names one of them. The AVX2 kernel reads rows through raw pointers, so
+// this is what keeps bad input a panic rather than a stray read; the
+// scalar path keeps the same contract.
+func checkRows(m Matrix, ids []int32) {
+	if m.Rows < 0 || len(m.Data) < m.Rows*m.Dim {
+		panic(fmt.Sprintf("vecmath: matrix data holds %d floats, want %dx%d", len(m.Data), m.Rows, m.Dim))
+	}
+	for _, id := range ids {
+		if uint(id) >= uint(m.Rows) {
+			panic(fmt.Sprintf("vecmath: row id %d out of range [0,%d)", id, m.Rows))
+		}
 	}
 }
 
@@ -83,8 +113,9 @@ func (c *Counter) L2ToRows(base Matrix, query []float32, ids []int32, out []floa
 // runs ids-outer / queries-inner, so each gathered base row is loaded once
 // and reused by every query while it is hot in cache — the traversal-side
 // analogue of the bytes-per-hop saving quantization buys. Each distance is
-// bit-identical to an individual L2 call. out must be at least
-// queries.Rows*len(ids) long; queries.Dim must equal base.Dim.
+// an individual L2 call, so it takes L2's AVX2 dispatch and bits. out must
+// be at least queries.Rows*len(ids) long; queries.Dim must equal base.Dim,
+// and every id must be in [0, base.Rows).
 func L2RowsToQueries(base, queries Matrix, ids []int32, out []float32) {
 	nq := queries.Rows
 	if len(out) < nq*len(ids) {
@@ -93,6 +124,8 @@ func L2RowsToQueries(base, queries Matrix, ids []int32, out []float32) {
 	if queries.Dim != base.Dim {
 		panic(fmt.Sprintf("vecmath: dimension mismatch %d != %d", queries.Dim, base.Dim))
 	}
+	checkRows(base, ids)
+	checkRows(queries, nil)
 	dim := base.Dim
 	data := base.Data
 	for i, id := range ids {

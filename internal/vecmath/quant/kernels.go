@@ -19,7 +19,7 @@ func L2Levels(levels []int16, code []uint8) int32 {
 	if len(levels) != len(code) {
 		panic("quant: level/code length mismatch")
 	}
-	if useAVX2 && len(levels) >= 16 {
+	if vecmath.AVX2() && len(levels) >= 16 {
 		n := len(levels) &^ 15
 		s := l2Levels16AVX2(&levels[0], &code[0], n)
 		for i := n; i < len(levels); i++ {

@@ -20,7 +20,7 @@ func L2Levels4(levels []int16, code []uint8) int32 {
 	if len(code) < Stride4(len(levels)) {
 		panic("quant: packed code row shorter than levels require")
 	}
-	if useAVX2 && len(levels) >= 32 {
+	if vecmath.AVX2() && len(levels) >= 32 {
 		n := len(levels) &^ 31
 		s := l2Levels4AVX2(&levels[0], &code[0], n)
 		return s + l2Levels4Tail(levels, code, n)

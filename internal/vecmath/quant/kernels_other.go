@@ -2,18 +2,17 @@
 
 package quant
 
-// Non-amd64 architectures run the portable scalar kernel.
+// Non-amd64 architectures run the portable scalar kernel: vecmath.AVX2
+// is always false there.
 
-const useAVX2 = false
-
-// l2Levels16AVX2 is never called when useAVX2 is false; this stub keeps the
-// dispatch in kernels.go architecture-independent.
+// l2Levels16AVX2 is never called when vecmath.AVX2 is false; this stub
+// keeps the dispatch in kernels.go architecture-independent.
 func l2Levels16AVX2(levels *int16, code *uint8, n int) int32 {
 	panic("quant: AVX2 kernel called on non-amd64 build")
 }
 
-// l2Levels4AVX2 is never called when useAVX2 is false; same role as the
-// l2Levels16AVX2 stub for the packed int4 dispatch in kernels4.go.
+// l2Levels4AVX2 is never called when vecmath.AVX2 is false; same role as
+// the l2Levels16AVX2 stub for the packed int4 dispatch in kernels4.go.
 func l2Levels4AVX2(levels *int16, code *uint8, n int) int32 {
 	panic("quant: AVX2 kernel called on non-amd64 build")
 }

@@ -124,7 +124,7 @@ func TestEncodeExtremeValues(t *testing.T) {
 // bit-identical to the portable scalar loop across dimensions, including
 // every tail length and out-of-range query levels.
 func TestKernelParity(t *testing.T) {
-	t.Logf("useAVX2=%v", useAVX2)
+	t.Logf("AVX2=%v", vecmath.AVX2())
 	rng := rand.New(rand.NewSource(7))
 	for dim := 1; dim <= 200; dim++ {
 		levels := make([]int16, dim)
@@ -157,7 +157,7 @@ func TestKernelWorstCase(t *testing.T) {
 	if got := L2Levels(levels, code); int64(got) != want {
 		t.Fatalf("worst case sum %d != %d", got, want)
 	}
-	if useAVX2 {
+	if vecmath.AVX2() {
 		if got := l2LevelsGeneric(levels, code); int64(got) != want {
 			t.Fatalf("generic worst case sum %d != %d", got, want)
 		}

@@ -2,10 +2,11 @@
 // every index in this repository: squared Euclidean distance, batch
 // distances, centroids, norms and small top-k helpers.
 //
-// The paper's reference implementation uses SIMD intrinsics; Go has no stable
-// stdlib SIMD story, so the kernels here are 8-way manually unrolled scalar
-// loops. They produce identical results with a constant-factor slowdown,
-// which preserves every relative comparison the paper reports.
+// The paper's reference implementation uses SIMD intrinsics. Here the three
+// float32 squared-L2 kernels (L2, L2ToRows, L2RowsToQueries) run AVX2
+// assembly on amd64 hardware that has it, and an 8-way unrolled scalar loop
+// elsewhere or when NSG_NO_AVX2 is set. Both paths return the same bits, so
+// the dispatch never changes a result (see kernels_amd64.s).
 package vecmath
 
 import (
@@ -22,6 +23,22 @@ func L2(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: dimension mismatch %d != %d", len(a), len(b)))
 	}
+	if useAVX2 && len(a) >= 8 {
+		n := len(a) &^ 7
+		return l2Tail(l2AVX2(&a[0], &b[0], n), a, b, n)
+	}
+	return l2Generic(a, b)
+}
+
+// AVX2 reports whether the float32 kernels here, and the quant code kernels
+// that share this probe, dispatch to their AVX2 versions: true on amd64
+// hardware with AVX2 unless NSG_NO_AVX2 is set.
+func AVX2() bool { return useAVX2 }
+
+// l2Generic is the portable scalar kernel and the reference the AVX2 path
+// reproduces bit for bit: eight lane sums s0..s7, folded in a fixed order,
+// then the len%8 tail. a and b must have equal lengths.
+func l2Generic(a, b []float32) float32 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
@@ -43,7 +60,13 @@ func L2(a, b []float32) float32 {
 		s7 += d7 * d7
 	}
 	s := (s0 + s1) + (s2 + s3) + (s4 + s5) + (s6 + s7)
-	for ; i < len(a); i++ {
+	return l2Tail(s, a, b, i)
+}
+
+// l2Tail adds the squared differences of a[n:] and b[n:] to s one element
+// at a time: l2Generic's tail after its lane fold.
+func l2Tail(s float32, a, b []float32, n int) float32 {
+	for i := n; i < len(a); i++ {
 		d := a[i] - b[i]
 		s += d * d
 	}

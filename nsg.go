@@ -389,7 +389,7 @@ func (x *Index) searchIntoFresh(ctx *core.SearchContext, query []float32, k, l i
 	if h := x.live.Load(); h != nil {
 		res = h.SearchCtx(ctx, query, k, l, nil).Neighbors
 	} else {
-		res = x.inner.SearchLiveCtx(ctx, query, k, l, x.dead, nil)
+		res = x.inner.SearchLiveCtx(ctx, query, k, l, x.dead, nil).Neighbors
 	}
 	return extractResults(res)
 }

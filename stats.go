@@ -1,6 +1,9 @@
 package nsg
 
-import "repro/internal/vecmath"
+import (
+	"repro/internal/core"
+	"repro/internal/vecmath"
+)
 
 // SearchStats reports the work one query performed, for capacity planning
 // and parameter tuning: Hops is the number of greedy expansions (the
@@ -15,22 +18,13 @@ type SearchStats struct {
 func (x *Index) SearchWithStats(query []float32, k, l int) ([]int32, []float32, SearchStats) {
 	var counter vecmath.Counter
 	ctx := x.getCtx()
+	var res core.SearchResult
 	if h := x.live.Load(); h != nil {
-		res := h.SearchCtx(ctx, query, k, l, &counter)
-		ids, dists := extractResults(res.Neighbors)
-		x.putCtx(ctx)
-		return ids, dists, SearchStats{Hops: res.Hops, DistanceComputations: counter.Count()}
+		res = h.SearchCtx(ctx, query, k, l, &counter)
+	} else {
+		res = x.inner.SearchLiveCtx(ctx, query, k, l, x.dead, &counter)
 	}
-	res := x.inner.SearchWithHopsCtx(ctx, query, k, l, &counter)
-	hops := res.Hops
-	neighbors := res.Neighbors
-	if x.dead != nil && x.dead.Len() > 0 {
-		// Re-run through the tombstone-aware path for the filtered result;
-		// stats reflect the unfiltered traversal, which is the work done.
-		// (This second search reuses the same context, invalidating res.)
-		neighbors = x.inner.SearchLiveCtx(ctx, query, k, l, x.dead, nil)
-	}
-	ids, dists := extractResults(neighbors)
+	ids, dists := extractResults(res.Neighbors)
 	x.putCtx(ctx)
-	return ids, dists, SearchStats{Hops: hops, DistanceComputations: counter.Count()}
+	return ids, dists, SearchStats{Hops: res.Hops, DistanceComputations: counter.Count()}
 }
