@@ -23,7 +23,9 @@
 //
 // Usage:
 //
-//	go run ./cmd/doccheck README.md ROADMAP.md -exec EXPERIMENTS.md
+//	go run ./cmd/doccheck -exec EXPERIMENTS.md README.md ROADMAP.md
+//
+// Flags come first: flag parsing stops at the first file name.
 //
 // Exits non-zero if any link is dangling or any documented command
 // fails. CI's doc-health job runs this over every tracked markdown

@@ -26,7 +26,8 @@
 //
 //	POST /search  {"query": [...], "k": 10, "l": 60, "stats": true,
 //	               "filter": {"col":"category","eq":"shoes"}}
-//	              → {"ids": [...], "dists": [...], "hops": h, "dist_comps": c}
+//	              → {"ids": [...], "dists": [...], "hops": h, "dist_comps": c,
+//	                 "exact_scans": e}
 //	POST /search/batch  {"queries": [[...], ...], "k": 10, "l": 60,
 //	               "filter": {...}}
 //	              → {"results": [{"ids": [...], "dists": [...]}, ...]}
@@ -380,10 +381,18 @@ func (s *server) compileFilter(raw json.RawMessage) (*nsg.ShardedFilter, error) 
 }
 
 type searchResponse struct {
-	IDs       []int32   `json:"ids"`
-	Dists     []float32 `json:"dists"`
-	Hops      int       `json:"hops,omitempty"`
-	DistComps uint64    `json:"dist_comps,omitempty"`
+	IDs   []int32   `json:"ids"`
+	Dists []float32 `json:"dists"`
+	*WorkStats
+}
+
+// WorkStats is the per-query work a "stats": true search reports; the
+// fields are absent otherwise. ExactScans counts the shards that answered
+// a filtered search by exact scan instead of walking the graph.
+type WorkStats struct {
+	Hops       int    `json:"hops"`
+	DistComps  uint64 `json:"dist_comps"`
+	ExactScans int    `json:"exact_scans"`
 }
 
 // maxBodyBytes bounds request bodies before JSON decoding: a vector of the
@@ -420,7 +429,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var resp searchResponse
 	if req.Stats {
 		ids, dists, st := s.idx.SearchFilteredWithStats(req.Query, req.K, req.L, flt)
-		resp = searchResponse{IDs: ids, Dists: dists, Hops: st.Hops, DistComps: st.DistanceComputations}
+		resp = searchResponse{IDs: ids, Dists: dists, WorkStats: &WorkStats{Hops: st.Hops, DistComps: st.DistanceComputations, ExactScans: st.ExactScans}}
 	} else {
 		ids, dists := s.idx.SearchFilteredWithPool(req.Query, req.K, req.L, flt)
 		resp = searchResponse{IDs: ids, Dists: dists}

@@ -98,8 +98,11 @@ func TestServerEndpoints(t *testing.T) {
 	if sr.IDs[0] != 11 || sr.Dists[0] != 0 {
 		t.Fatalf("self-query: nearest = (%d, %v), want (11, 0)", sr.IDs[0], sr.Dists[0])
 	}
-	if sr.Hops < idx.Shards() || sr.DistComps == 0 {
-		t.Fatalf("merged stats missing: %+v", sr)
+	if sr.WorkStats == nil || sr.Hops < idx.Shards() || sr.DistComps == 0 {
+		t.Fatalf("merged stats missing: %s", body)
+	}
+	if !strings.Contains(string(body), `"exact_scans":0`) {
+		t.Fatalf("unfiltered stats should report exact_scans 0: %s", body)
 	}
 
 	// search without stats omits the work fields.
@@ -108,8 +111,10 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plain["hops"]; ok {
-		t.Fatal("hops reported without stats:true")
+	for _, key := range []string{"hops", "dist_comps", "exact_scans"} {
+		if _, ok := plain[key]; ok {
+			t.Fatalf("%s reported without stats:true", key)
+		}
 	}
 
 	// bad searches
@@ -792,6 +797,11 @@ func TestFilteredServing(t *testing.T) {
 	}
 	if len(sr.IDs) != 5 || sr.IDs[0] != 42 || sr.Dists[0] != 0 {
 		t.Fatalf("filtered self-query: %v / %v", sr.IDs, sr.Dists)
+	}
+	// 200 rows per shard: every shard's ~100 passing rows fall under the
+	// planner's recall floor, so each answers by exact scan.
+	if sr.WorkStats == nil || sr.ExactScans != idx.Shards() || sr.Hops != 0 {
+		t.Fatalf("filtered stats: %s, want exact_scans %d and hops 0", body, idx.Shards())
 	}
 	for _, id := range sr.IDs {
 		if id%2 != 0 {

@@ -131,25 +131,29 @@ func (x *Index) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []fl
 // SearchFilteredWithPool is SearchFiltered with an explicit pool size l.
 // The traversal navigates through non-passing points but only passing
 // points occupy pool slots, so recall at equal l tracks the unfiltered
-// search even under selective filters; very selective filters fall back to
-// an exact scan of the passing set (see the README's "Filtered search"
-// section for the l and selectivity guidance). Tombstoned and filtered-out
-// ids never appear in results; fewer than k results mean fewer than k
-// passing points exist.
+// search even under selective filters; whenever scoring the passing set
+// exactly is cheaper than the walk, the search runs that exact scan
+// instead (see the README's "Filtered search" section for the l and
+// selectivity guidance). Tombstoned and filtered-out ids never appear in
+// results; fewer than k results mean fewer than k passing points exist.
 func (x *Index) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]int32, []float32) {
 	if f == nil {
 		return x.SearchWithPool(query, k, l)
 	}
 	ctx := x.getCtx()
-	var res []vecmath.Neighbor
-	if h := x.live.Load(); h != nil {
-		res = h.SearchFilteredCtx(ctx, query, k, l, nil, &f.inner).Neighbors
-	} else {
-		res = x.inner.SearchFilteredWithHopsCtx(ctx, query, k, l, x.dead, &f.inner, nil).Neighbors
-	}
-	ids, dists := extractResults(res)
+	ids, dists := extractResults(x.searchFiltered(ctx, query, k, l, f).Neighbors)
 	x.putCtx(ctx)
 	return ids, dists
+}
+
+// searchFiltered is one filtered search on ctx: over the live handle's
+// current view when live updates are on, else over the index with its
+// tombstones. The neighbors alias ctx.
+func (x *Index) searchFiltered(ctx *core.SearchContext, query []float32, k, l int, f *Filter) core.SearchResult {
+	if h := x.live.Load(); h != nil {
+		return h.SearchFilteredCtx(ctx, query, k, l, nil, &f.inner)
+	}
+	return x.inner.SearchFilteredWithHopsCtx(ctx, query, k, l, x.dead, &f.inner, nil)
 }
 
 // SearchBatchFiltered answers many queries under one shared filter, fusing
@@ -177,13 +181,7 @@ func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *F
 		return out
 	}
 	forEachQuery(len(queries), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, i int) {
-		var res []vecmath.Neighbor
-		if h := x.live.Load(); h != nil {
-			res = h.SearchFilteredCtx(ctx, queries[i], k, l, nil, &f.inner).Neighbors
-		} else {
-			res = x.inner.SearchFilteredWithHopsCtx(ctx, queries[i], k, l, x.dead, &f.inner, nil).Neighbors
-		}
-		ids, dists := extractResults(res)
+		ids, dists := extractResults(x.searchFiltered(ctx, queries[i], k, l, f).Neighbors)
 		out[i] = BatchResult{IDs: ids, Dists: dists}
 	})
 	return out
@@ -260,7 +258,7 @@ func (x *ShardedIndex) SearchFilteredWithStats(query []float32, k, l int, f *Sha
 	b := x.getBuf()
 	res, st := x.s.SearchFilteredStatsAppend(b.ns[:0], query, k, l, f.inner)
 	ids, dists := x.extract(b, res)
-	return ids, dists, SearchStats{Hops: st.Hops, DistanceComputations: st.DistComps}
+	return ids, dists, SearchStats{Hops: st.Hops, DistanceComputations: st.DistComps, ExactScans: st.ExactScans}
 }
 
 // SearchBatchFiltered answers many queries under one shared filter with one

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // attachTestMetadata gives every id three columns: price (3*id), category
@@ -68,6 +70,24 @@ func bruteforceFiltered(vectors [][]float32, q []float32, k int, pass func(id in
 	return out
 }
 
+// filteredResult runs one filtered search the way SearchFilteredWithPool
+// does and returns the core result, so tests can see which planner regime
+// answered: the walk (Hops > 0) or the exact scan (Exact, Hops 0).
+func filteredResult(idx *Index, q []float32, k, l int, f *Filter) core.SearchResult {
+	ctx := idx.getCtx()
+	defer idx.putCtx(ctx)
+	return idx.searchFiltered(ctx, q, k, l, f)
+}
+
+// checkRegime fails t unless res came from the walk (exact false) or the
+// exact scan (exact true).
+func checkRegime(t *testing.T, res core.SearchResult, exact bool) {
+	t.Helper()
+	if res.Exact != exact || (res.Hops > 0) == exact {
+		t.Fatalf("exact %v hops %d, want exact %v", res.Exact, res.Hops, exact)
+	}
+}
+
 func recallAgainst(got []int32, want []int32) float64 {
 	if len(want) == 0 {
 		return 1
@@ -86,10 +106,10 @@ func recallAgainst(got []int32, want []int32) float64 {
 }
 
 // TestFilteredSearchParity: filtered search must match brute-force-with-
-// filter at moderate (traversal regime) and high (exact-fallback regime)
+// filter at moderate (walk regime) and high (exact-scan regime)
 // selectivity, across all three serving modes.
 func TestFilteredSearchParity(t *testing.T) {
-	const n, dim, k = 1200, 24, 10
+	const n, dim, k = 2400, 24, 10
 	vecs := randomVectors(n, dim, 3)
 	for _, mode := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -105,15 +125,18 @@ func TestFilteredSearchParity(t *testing.T) {
 				pred     Predicate
 				pass     func(int) bool
 				minRecal float64
+				exact    bool
 			}{
-				// ~50% pass: well above the brute-force cutoff, so this is
-				// the graph-guided two-pool regime.
-				{"sel50-traversal", HasTag("tags", "even"), func(i int) bool { return i%2 == 0 }, 0.9},
-				// 20% of ids (240 <= max(256, 4l)): the exact fallback, so
-				// demand perfect agreement.
-				{"sel20-fallback", Eq("category", "cat2"), func(i int) bool { return i%5 == 2 }, 1.0},
-				// Conjunction: price in [0,900) AND even → 150 ids, exact.
-				{"and-fallback", And(Range("price", 0, 899), HasTag("tags", "even")), func(i int) bool { return i*3 < 900 && i%2 == 0 }, 1.0},
+				// 50% pass: the planner prices the walk cheaper
+				// (2400/8 + 1200 > 10 * 2l), so this is the graph-guided
+				// two-pool regime.
+				{"sel50-traversal", HasTag("tags", "even"), func(i int) bool { return i%2 == 0 }, 0.9, false},
+				// 20% of ids: the exact scan is cheaper (300 + 480 <=
+				// 10 * 5l), so demand perfect agreement.
+				{"sel20-fallback", Eq("category", "cat2"), func(i int) bool { return i%5 == 2 }, 1.0, true},
+				// Conjunction: price in [0,900) AND even → 150 ids, under
+				// the recall floor: exact.
+				{"and-fallback", And(Range("price", 0, 899), HasTag("tags", "even")), func(i int) bool { return i*3 < 900 && i%2 == 0 }, 1.0, true},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
 					f, err := idx.CompileFilter(tc.pred)
@@ -123,6 +146,7 @@ func TestFilteredSearchParity(t *testing.T) {
 					total := 0.0
 					for qi := 0; qi < 30; qi++ {
 						q := vecs[(qi*37)%n]
+						checkRegime(t, filteredResult(idx, q, k, opts.SearchL, f), tc.exact)
 						ids, dists := idx.SearchFiltered(q, k, f)
 						for i, id := range ids {
 							if !tc.pass(int(id)) {
@@ -150,7 +174,7 @@ func TestFilteredSearchParity(t *testing.T) {
 // TestFilteredMappedParity: a mapped index answers filtered queries
 // identically to the heap index it was saved from.
 func TestFilteredMappedParity(t *testing.T) {
-	const n, dim, k = 900, 16, 8
+	const n, dim, k = 2400, 16, 8 // 50% of 2400 points walks at l=60
 	vecs := randomVectors(n, dim, 4)
 	opts := DefaultOptions()
 	opts.Quantize = QuantSQ8
@@ -185,6 +209,8 @@ func TestFilteredMappedParity(t *testing.T) {
 	}
 	for qi := 0; qi < 20; qi++ {
 		q := vecs[(qi*41)%n]
+		checkRegime(t, filteredResult(idx, q, k, opts.SearchL, hf), false)
+		checkRegime(t, filteredResult(mapped, q, k, opts.SearchL, mf), false)
 		hIDs, hD := idx.SearchFiltered(q, k, hf)
 		mIDs, mD := mapped.SearchFiltered(q, k, mf)
 		if len(hIDs) != len(mIDs) {
@@ -202,7 +228,7 @@ func TestFilteredMappedParity(t *testing.T) {
 // delta rows appended with AddWithMetadata, and honors deletes — all under
 // the filter.
 func TestFilteredLive(t *testing.T) {
-	const n, dim, k = 800, 16, 10
+	const n, dim, k = 2400, 16, 10 // 50% of 2400 points walks at l=60
 	vecs := randomVectors(n+40, dim, 5)
 	idx, err := Build(vecs[:n], DefaultOptions())
 	if err != nil {
@@ -238,6 +264,7 @@ func TestFilteredLive(t *testing.T) {
 	total := 0.0
 	for qi := 0; qi < 20; qi++ {
 		q := vecs[(qi*53)%(n+40)]
+		checkRegime(t, filteredResult(idx, q, k, DefaultOptions().SearchL, f), false)
 		ids, _ := idx.SearchFiltered(q, k, f)
 		for _, id := range ids {
 			if !pass(int(id)) {

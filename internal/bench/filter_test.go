@@ -14,7 +14,7 @@ func TestFilteredSearchWritesJSON(t *testing.T) {
 	}
 	t.Chdir(t.TempDir())
 	c := DefaultExpConfig()
-	c.Scale = 0.2 // 1200 points: big enough that 50% selectivity stays in the traversal regime
+	c.Scale = 0.4 // 2400 points: 50% selectivity walks the graph up to L=60 (2400/8 + 1200 > 10 * 2L)
 	c.Queries = 20
 	var buf bytes.Buffer
 	if err := FilteredSearch(&buf, c); err != nil {
@@ -53,6 +53,13 @@ func TestFilteredSearchWritesJSON(t *testing.T) {
 			continue
 		}
 		selSeen[pt.Selectivity] = true
+		// The planner's regimes: the walk makes hops, the exact scan none.
+		if pt.Selectivity == 0.50 && pt.Effort <= 60 && pt.Hops == 0 {
+			t.Errorf("%s at 50%%, L=%d: 0 hops, want the walk", pt.Variant, pt.Effort)
+		}
+		if pt.Selectivity == 0.01 && pt.Hops != 0 {
+			t.Errorf("%s at 1%%, L=%d: %.1f hops, want the exact scan", pt.Variant, pt.Effort, pt.Hops)
+		}
 		// The acceptance criterion: within 0.01 of the exact filtered
 		// answer at the top of the effort sweep.
 		if pt.Effort == filterEfforts[len(filterEfforts)-1] && pt.Recall < 0.99 {

@@ -147,7 +147,7 @@ func (cc *CohortContext) expandFiltered(g *graphutil.FlatGraph, n int, d cohortD
 // SearchCohortFilteredCtx answers a cohort of queries under one shared
 // Filter with the fused filtered traversal. Per query the result is
 // byte-identical to a solo SearchFilteredWithHopsCtx call with the same k,
-// l, dead set and filter — including the brute-force regime, which runs
+// l, dead set and filter — including the exact-scan regime, which runs
 // per-slot (exhaustive scans share nothing worth fusing). A nil flt degrades
 // to the unfiltered cohort. Results alias cc; counter may be nil.
 func (x *NSG) SearchCohortFilteredCtx(cc *CohortContext, queries [][]float32, k, l int, dead *Tombstones, flt *Filter, counter *vecmath.Counter) []SearchResult {
@@ -173,7 +173,7 @@ func (x *NSG) SearchCohortFilteredCtx(cc *CohortContext, queries [][]float32, k,
 	}
 	pf := passFilter{bits: flt.Bits, pubIDs: x.PubIDs, remap: flt.Remap, dead: dead}
 	n := x.Base.Rows
-	if useBruteForce(l, flt) {
+	if useExactScan(n, l, flt) {
 		for s := range queries {
 			res := bruteForceFiltered(cc.slots[s], x.Base, queries[s], n, k, counter, nil, flt, pf)
 			x.toPublic(res.Neighbors)
@@ -253,7 +253,7 @@ func (s *Snapshot) SearchLiveCohortFilteredCtx(cc *CohortContext, queries [][]fl
 	}
 	pf := passFilter{bits: flt.Bits, pubIDs: s.pubIDs, remap: remap, dead: dead}
 	n := s.base.Rows
-	if useBruteForce(l, flt) {
+	if useExactScan(n, l, flt) {
 		for si := range queries {
 			res := bruteForceFiltered(cc.slots[si], s.base, queries[si], n, k, counter, d, flt, pf)
 			res.Neighbors = s.finishLive(res.Neighbors, k, lq, d)

@@ -98,10 +98,12 @@ func (p *pool) insert(id int32, dist float32) int {
 // SearchResult reports what a Search-on-Graph run did, for the paper's
 // complexity experiments: hops is the number of pool expansions (search path
 // length l in the o·l cost model), and the distance computations are counted
-// by the caller's vecmath.Counter.
+// by the caller's vecmath.Counter. Exact is set when a filtered search
+// answered by exact scan instead of walking the graph (Hops is then 0).
 type SearchResult struct {
 	Neighbors []vecmath.Neighbor
 	Hops      int
+	Exact     bool
 }
 
 // adjacencySource abstracts the two graph layouts Algorithm 1 traverses:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
@@ -33,12 +34,15 @@ var ErrNoMetadata = errors.New("core: index has no metadata store")
 // bound Algorithm 1 applies to a single pool, so the filtered walk stops as
 // soon as the passing frontier is settled.
 //
-// At very low selectivity graph traversal loses to exhaustion: when few
-// points pass, scoring exactly the passing set is cheaper than walking the
-// graph past thousands of non-passing nodes. Below a small cutoff the search
-// switches to a brute-force exact scan over the passing ids — which is also
-// the reference the recall gates compare against, so in that regime filtered
-// search is exact by construction.
+// At low selectivity graph traversal loses to exhaustion: when few points
+// pass, scoring exactly the passing set is cheaper than walking the graph
+// past thousands of non-passing nodes. A cost rule (useExactScan) prices
+// both: the scan is one O(n) pass test plus one gather per passing row, the
+// walk tracks the navigation pool it will fill. Whenever the scan is the
+// cheaper of the two — and always below a small recall floor — the search
+// switches to a brute-force exact scan over the passing ids, which is also
+// the reference the recall gates compare against, so in that regime
+// filtered search is exact by construction.
 //
 // Tombstones fold into the pass test itself (a dead point is just another
 // non-passing point that still routes), so filtered searches never
@@ -70,13 +74,9 @@ type Filter struct {
 	MaxNav int
 }
 
-// test reports whether final id passes the bitmap (fail closed out of range).
+// bitTest reports whether final id passes the bitmap (fail closed out of range).
 func bitTest(bits []uint64, id int32) bool {
-	w := int(id) >> 6
-	if id < 0 || w >= len(bits) {
-		return false
-	}
-	return bits[w]&(1<<uint(id&63)) != 0
+	return bitOf(bits, id) != 0
 }
 
 // passFilter is the per-search pass test: internal id → public id (pubIDs)
@@ -103,15 +103,73 @@ func (f passFilter) pass(internal int32) bool {
 	return bitTest(f.bits, id)
 }
 
+// passing returns the internal ids in [0, n) that pass, reusing ids'
+// backing array (grown to n on first use) — the exact scan's O(n) pass
+// test. Rows pass in no predictable pattern, so the row loop does not
+// branch on the bitmap: it stores every id and advances the cursor by the
+// pass bit. Tombstones are checked afterwards, on the passing rows only.
+func (f passFilter) passing(ids []int32, n int) []int32 {
+	if cap(ids) < n {
+		ids = make([]int32, n)
+	}
+	ids = ids[:n]
+	pubIDs, remap, bits := f.pubIDs, f.remap, f.bits
+	c := 0
+	for i := range ids {
+		id := int32(i)
+		if pubIDs != nil {
+			id = pubIDs[i]
+		}
+		if remap != nil {
+			id = remap[id]
+		}
+		ids[c] = int32(i)
+		c += int(bitOf(bits, id))
+	}
+	ids = ids[:c]
+	if f.dead != nil {
+		ids = slices.DeleteFunc(ids, func(i int32) bool {
+			if pubIDs != nil {
+				i = pubIDs[i]
+			}
+			return f.dead.Deleted(i)
+		})
+	}
+	return ids
+}
+
+// bitOf is bitTest as a 0/1 word, for branch-free accumulation.
+func bitOf(bits []uint64, id int32) uint64 {
+	w := uint32(id) >> 6 // a negative id wraps past any bitmap
+	if int(w) >= len(bits) {
+		return 0
+	}
+	return bits[w] >> (uint32(id) & 63) & 1
+}
+
 const (
 	// maxNavFactor clamps the navigation pool's selectivity scaling: below
-	// 1/maxNavFactor selectivity the brute-force cutoff usually takes over
-	// anyway, and an unbounded factor would make adversarial bitmaps walk
-	// the whole graph.
+	// 1/maxNavFactor selectivity the exact scan usually takes over anyway,
+	// and an unbounded factor would make adversarial bitmaps walk the whole
+	// graph.
 	maxNavFactor = 32
-	// bruteForceMin is the passing-set size below which exhaustive scoring
-	// always wins (the cutoff also scales with l; see useBruteForce).
+	// bruteForceMin is the recall floor: a passing set this small (or at
+	// most 4l) is always scanned, whatever the cost rule says.
 	bruteForceMin = 256
+	// scanPassRows and walkNavCost are the cost rule's α = 1/scanPassRows
+	// and β, in units of one passing-row gather. The scan costs its O(n)
+	// pass test (bitmap lookups through the id maps) plus one gather per
+	// passing row; in the per-shard sweep (BenchmarkFilteredPlanner: n = 6k
+	// and 50k, float32 and sq8, l = 60, 50..1% selectivity) a pass-test row
+	// costs a twelfth to a fourteenth of a 128-d gather, rounded here to an
+	// eighth, toward the walk. The walk's hops track its navigation pool,
+	// and each hop gathers a node's unvisited out-neighbors: ten to fifteen
+	// gathers per navigation slot at 6k, more at 50k where rows miss the
+	// cache. β = 10 puts the one crossover cell (50k at 10%, where the two
+	// paths tie within noise) on the walk and leaves every measured cell
+	// within 6% of its faster path.
+	scanPassRows = 8
+	walkNavCost  = 10
 )
 
 // navPoolSize returns the navigation pool capacity for a search with pool
@@ -135,14 +193,15 @@ func navPoolSize(n, l int, flt *Filter) int {
 	return lnav
 }
 
-// useBruteForce reports whether the passing set is small enough that exact
-// exhaustive scoring beats graph traversal.
-func useBruteForce(l int, flt *Filter) bool {
-	cutoff := bruteForceMin
-	if 4*l > cutoff {
-		cutoff = 4 * l
+// useExactScan is the filtered-search planner: it reports whether scoring
+// the passing set exactly beats the two-pool walk over n nodes with pool
+// size l. The scan wins when n/scanPassRows + Count <= walkNavCost·lnav,
+// and always when Count <= max(bruteForceMin, 4l).
+func useExactScan(n, l int, flt *Filter) bool {
+	if flt.Count <= max(bruteForceMin, 4*l) {
+		return true
 	}
-	return flt.Count <= cutoff
+	return n/scanPassRows+flt.Count <= walkNavCost*navPoolSize(n, l, flt)
 }
 
 // pickFiltered advances both cursors past checked elements and returns the
@@ -283,15 +342,10 @@ func mergeDeltaFiltered[D distSource](ctx *SearchContext, n int, dist D, delta *
 // point (one batched float gather over the passing ids) plus every passing
 // delta row, keep the best k. Always exact float32 distances regardless of
 // quantization — at a few hundred candidates the code matrix saves nothing.
-// Results are internal/delta ids, hops 0.
+// Results are internal/delta ids, hops 0, Exact set.
 func bruteForceFiltered(ctx *SearchContext, base vecmath.Matrix, query []float32, n, k int, counter *vecmath.Counter, delta *Delta, flt *Filter, pf passFilter) SearchResult {
 	ctx.begin(n, k)
-	ids := ctx.idBuf[:0]
-	for i := 0; i < n; i++ {
-		if pf.pass(int32(i)) {
-			ids = append(ids, int32(i))
-		}
-	}
+	ids := pf.passing(ctx.idBuf, n)
 	ctx.idBuf = ids
 	dists := ctx.distScratch(len(ids))
 	counter.L2ToRows(base, query, ids, dists)
@@ -302,7 +356,7 @@ func bruteForceFiltered(ctx *SearchContext, base vecmath.Matrix, query []float32
 	if delta != nil {
 		mergeDeltaFiltered(ctx, n, floatDist{base: base, query: query}, delta, counter, flt, pf.dead)
 	}
-	return SearchResult{Neighbors: emit(ctx, k)}
+	return SearchResult{Neighbors: emit(ctx, k), Exact: true}
 }
 
 // emptyResult resets ctx.out and returns an empty result — the Count == 0
@@ -324,9 +378,10 @@ func (x *NSG) SearchFilteredCtx(ctx *SearchContext, query []float32, k, l int, d
 
 // SearchFilteredWithHopsCtx is the filtered root of the non-live NSG query
 // paths: the two-pool walk (quantized indexes expand in code space and
-// rerank the main pool exactly), or the exact brute-force scan when few
-// points pass. Emitted ids are public, distances exact float32 either way. A
-// nil flt degrades to the unfiltered live search with the same dead set.
+// rerank the main pool exactly), or the exact brute-force scan when the
+// planner (useExactScan) prices it cheaper. Emitted ids are public,
+// distances exact float32 either way. A nil flt degrades to the unfiltered
+// live search with the same dead set.
 func (x *NSG) SearchFilteredWithHopsCtx(ctx *SearchContext, query []float32, k, l int, dead *Tombstones, flt *Filter, counter *vecmath.Counter) SearchResult {
 	if flt == nil {
 		res := x.SearchWithHopsCtx(ctx, query, withDead(k, dead), withDead(l, dead), counter)
@@ -341,13 +396,20 @@ func (x *NSG) SearchFilteredWithHopsCtx(ctx *SearchContext, query []float32, k, 
 	if l < k {
 		l = k
 	}
+	return x.searchFiltered(ctx, query, k, l, dead, flt, counter, useExactScan(x.Base.Rows, l, flt))
+}
+
+// searchFiltered runs one filtered search down the path the planner chose:
+// the exact scan when scan is set, the two-pool walk otherwise. l >= k and
+// flt.Count > 0 on entry.
+func (x *NSG) searchFiltered(ctx *SearchContext, query []float32, k, l int, dead *Tombstones, flt *Filter, counter *vecmath.Counter, scan bool) SearchResult {
 	if dead != nil && dead.Len() == 0 {
 		dead = nil
 	}
 	pf := passFilter{bits: flt.Bits, pubIDs: x.PubIDs, remap: flt.Remap, dead: dead}
 	var res SearchResult
 	switch {
-	case useBruteForce(l, flt):
+	case scan:
 		res = bruteForceFiltered(ctx, x.Base, query, x.Base.Rows, k, counter, nil, flt, pf)
 	case x.Quant != nil:
 		res = x.searchQuantFiltered(ctx, query, k, l, counter, nil, flt, pf)
@@ -422,7 +484,7 @@ func (s *Snapshot) SearchLiveFilteredCtx(ctx *SearchContext, query []float32, k,
 	pf := passFilter{bits: flt.Bits, pubIDs: s.pubIDs, remap: remap, dead: dead}
 	var res SearchResult
 	switch {
-	case useBruteForce(l, flt):
+	case useExactScan(s.base.Rows, l, flt):
 		res = bruteForceFiltered(ctx, s.base, query, s.base.Rows, k, counter, d, flt, pf)
 	case s.quant != nil:
 		res = s.searchQuantDeltaFiltered(ctx, query, k, l, counter, d, flt, pf)

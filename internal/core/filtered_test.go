@@ -59,11 +59,12 @@ func recallOf(got, want []vecmath.Neighbor) float64 {
 }
 
 // TestFilteredParity gates the filtered search against the exact
-// brute-force-with-filter reference at selectivities spanning the traversal
-// regime (50%) and the brute-force fallback regime (10% of 1200 points),
-// on both a plain and a relaid index.
+// brute-force-with-filter reference in both planner regimes, on a plain and
+// a relaid index: 50% of 3000 points walks the graph (hops > 0), 10% is
+// priced cheaper to scan (hops 0, exact equality with the reference).
 func TestFilteredParity(t *testing.T) {
-	base := testBase(t, 1200, 24, 3)
+	const n = 3000
+	base := testBase(t, n, 24, 3)
 	plain := buildQuantTestNSG(t, base.Clone())
 	relay := buildQuantTestNSG(t, base.Clone())
 	relay.Relayout()
@@ -73,11 +74,11 @@ func TestFilteredParity(t *testing.T) {
 	filters := []struct {
 		name      string
 		flt       *Filter
-		wantExact bool // fallback regime: must equal the reference exactly
+		wantExact bool // scan regime: must equal the reference exactly
 		minRecall float64
 	}{
-		{"sel50", makeBits(1200, func(id int32) bool { return id%2 == 0 }), false, 0.95},
-		{"sel10", makeBits(1200, func(id int32) bool { return id%10 == 0 }), true, 1},
+		{"sel50", makeBits(n, func(id int32) bool { return id%2 == 0 }), false, 0.95},
+		{"sel10", makeBits(n, func(id int32) bool { return id%10 == 0 }), true, 1},
 	}
 	for _, idx := range []*NSG{plain, relay} {
 		ctx := NewSearchContext()
@@ -85,7 +86,11 @@ func TestFilteredParity(t *testing.T) {
 			sum := 0.0
 			for qi := 0; qi < queries.Rows; qi++ {
 				q := queries.Row(qi)
-				got := idx.SearchFilteredCtx(ctx, q, k, l, nil, tc.flt, nil)
+				res := idx.SearchFilteredWithHopsCtx(ctx, q, k, l, nil, tc.flt, nil)
+				if res.Exact != tc.wantExact || (res.Hops > 0) == tc.wantExact {
+					t.Fatalf("%s q%d: exact %v hops %d, want the %s regime", tc.name, qi, res.Exact, res.Hops, regime(tc.wantExact))
+				}
+				got := res.Neighbors
 				want := bruteRef(idx, q, k, tc.flt, nil)
 				for _, nb := range got {
 					if !bitTest(tc.flt.Bits, nb.ID) {
@@ -111,11 +116,50 @@ func TestFilteredParity(t *testing.T) {
 	}
 }
 
+func regime(exact bool) string {
+	if exact {
+		return "scan"
+	}
+	return "walk"
+}
+
+// TestExactScanPlanner pins the planner's cost rule: the recall floor
+// always scans, and above it the scan runs exactly when
+// n/scanPassRows + count <= walkNavCost * navPoolSize.
+func TestExactScanPlanner(t *testing.T) {
+	cases := []struct {
+		n, l, count, maxNav int
+		scan                bool
+	}{
+		{6000, 60, 0, 0, true},        // empty: trivially scanned
+		{6000, 60, 256, 0, true},      // recall floor (256)
+		{6000, 100, 400, 0, true},     // recall floor (4l)
+		{6000, 60, 3000, 0, false},    // 50%: 750+3000 > 10*120
+		{6000, 60, 1500, 0, true},     // 25%: 750+1500 <= 10*240
+		{6000, 60, 600, 0, true},      // 10%: 750+600 <= 10*600
+		{50000, 60, 25000, 0, false},  // 50%: 6250+25000 > 10*120
+		{50000, 60, 5000, 0, false},   // 10%: 6250+5000 > 10*600
+		{50000, 60, 2500, 0, true},    // 5%: 6250+2500 <= 10*1200
+		{50000, 60, 500, 0, true},     // 1%: nav clamps at 32l; 6250+500 <= 10*1920
+		{50000, 60, 2500, 600, false}, // MaxNav caps the walk's pool: 8750 > 6000
+		{1200, 64, 600, 0, true},      // the small-fixture 50%: 150+600 <= 10*128
+		{3000, 64, 1500, 0, false},    // ... walks at 3000 points: 375+1500 > 1280
+		{3000, 64, 300, 0, true},      // ... and scans at 10%: 375+300 <= 6400
+	}
+	for _, tc := range cases {
+		flt := &Filter{Count: tc.count, MaxNav: tc.maxNav}
+		if got := useExactScan(tc.n, tc.l, flt); got != tc.scan {
+			t.Errorf("n=%d l=%d count=%d maxNav=%d: scan %v, want %v (nav %d)", tc.n, tc.l, tc.count, tc.maxNav, got, tc.scan, navPoolSize(tc.n, tc.l, flt))
+		}
+	}
+}
+
 // TestFilteredQuantParity runs the same gate through the SQ8 and int4
 // two-phase paths: results pass the filter, distances are exact float32,
 // recall stays near the reference.
 func TestFilteredQuantParity(t *testing.T) {
-	base := testBase(t, 1200, 24, 5)
+	const n = 3000 // 50% of 3000 points walks (see TestExactScanPlanner)
+	base := testBase(t, n, 24, 5)
 	for _, mode := range []string{"sq8", "int4"} {
 		idx := buildQuantTestNSG(t, base.Clone())
 		var err error
@@ -127,13 +171,17 @@ func TestFilteredQuantParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flt := makeBits(1200, func(id int32) bool { return id%2 == 0 })
+		flt := makeBits(n, func(id int32) bool { return id%2 == 0 })
 		queries := testBase(t, 30, 24, 6)
 		ctx := NewSearchContext()
 		sum := 0.0
 		for qi := 0; qi < queries.Rows; qi++ {
 			q := queries.Row(qi)
-			got := idx.SearchFilteredCtx(ctx, q, 10, 64, nil, flt, nil)
+			res := idx.SearchFilteredWithHopsCtx(ctx, q, 10, 64, nil, flt, nil)
+			if res.Exact || res.Hops == 0 {
+				t.Fatalf("%s q%d: exact %v hops %d, want the walk", mode, qi, res.Exact, res.Hops)
+			}
+			got := res.Neighbors
 			for _, nb := range got {
 				if !bitTest(flt.Bits, nb.ID) {
 					t.Fatalf("%s: result id %d does not pass the filter", mode, nb.ID)
@@ -154,15 +202,16 @@ func TestFilteredQuantParity(t *testing.T) {
 // byte-identical to per-query solo filtered searches — ids, distances and
 // hop counts — on the float and quantized paths, in both regimes.
 func TestFilteredCohortMatchesSolo(t *testing.T) {
-	base := testBase(t, 1200, 24, 7)
+	const n = 3000
+	base := testBase(t, n, 24, 7)
 	queries := testBase(t, 16, 24, 8)
 	qs := make([][]float32, queries.Rows)
 	for i := range qs {
 		qs[i] = queries.Row(i)
 	}
 	filters := []*Filter{
-		makeBits(1200, func(id int32) bool { return id%2 == 0 }),  // traversal
-		makeBits(1200, func(id int32) bool { return id%16 == 0 }), // fallback
+		makeBits(n, func(id int32) bool { return id%2 == 0 }),  // walk
+		makeBits(n, func(id int32) bool { return id%16 == 0 }), // exact scan
 	}
 	for _, mode := range []string{"float", "sq8"} {
 		idx := buildQuantTestNSG(t, base.Clone())
@@ -177,7 +226,10 @@ func TestFilteredCohortMatchesSolo(t *testing.T) {
 			batch := idx.SearchCohortFilteredCtx(cc, qs, 10, 48, nil, flt, nil)
 			for s, q := range qs {
 				solo := idx.SearchFilteredWithHopsCtx(ctx, q, 10, 48, nil, flt, nil)
-				if batch[s].Hops != solo.Hops {
+				if walk := fi == 0; solo.Exact == walk || (solo.Hops > 0) != walk {
+					t.Fatalf("%s filter %d slot %d: exact %v hops %d, want the %s regime", mode, fi, s, solo.Exact, solo.Hops, regime(!walk))
+				}
+				if batch[s].Hops != solo.Hops || batch[s].Exact != solo.Exact {
 					t.Fatalf("%s filter %d slot %d: hops %d != solo %d", mode, fi, s, batch[s].Hops, solo.Hops)
 				}
 				if len(batch[s].Neighbors) != len(solo.Neighbors) {
@@ -196,9 +248,10 @@ func TestFilteredCohortMatchesSolo(t *testing.T) {
 // TestFilteredTombstones: dead ids are treated as non-passing — never
 // emitted, no over-fetch needed, and the pool refills from live points.
 func TestFilteredTombstones(t *testing.T) {
-	base := testBase(t, 1200, 24, 9)
+	const n = 3000 // 50% of 3000 points walks
+	base := testBase(t, n, 24, 9)
 	idx := buildQuantTestNSG(t, base)
-	flt := makeBits(1200, func(id int32) bool { return id%2 == 0 })
+	flt := makeBits(n, func(id int32) bool { return id%2 == 0 })
 	ctx := NewSearchContext()
 	q := testBase(t, 1, 24, 10).Row(0)
 
@@ -207,7 +260,11 @@ func TestFilteredTombstones(t *testing.T) {
 	for _, nb := range before[:5] {
 		dead.Delete(nb.ID)
 	}
-	after := idx.SearchFilteredCtx(ctx, q, 10, 64, dead, flt, nil)
+	res := idx.SearchFilteredWithHopsCtx(ctx, q, 10, 64, dead, flt, nil)
+	if res.Exact || res.Hops == 0 {
+		t.Fatalf("exact %v hops %d, want the walk", res.Exact, res.Hops)
+	}
+	after := res.Neighbors
 	if len(after) != 10 {
 		t.Fatalf("got %d results, want 10 (pool should refill past tombstones)", len(after))
 	}
@@ -263,64 +320,68 @@ func TestFilteredEmptyAndZero(t *testing.T) {
 }
 
 // TestLiveFilteredSnapshotDelta: the snapshot path merges only passing,
-// live delta rows, and the combined result equals the exact reference over
-// (passing snapshot points ∪ passing delta points).
+// live delta rows in both planner regimes. At 50% of 3000 points the walk
+// runs and recall against the exact reference over (passing snapshot
+// points ∪ passing delta points) stays high; at 5% the exact scan runs and
+// equals that reference.
 func TestLiveFilteredSnapshotDelta(t *testing.T) {
-	base := testBase(t, 900, 16, 13)
+	base := testBase(t, 3000, 16, 13)
 	idx := buildQuantTestNSG(t, base)
 	snap := idx.Snapshot()
 	n := base.Rows
 
-	// Six pending rows with final ids 900..905; even final ids pass.
+	// Six pending rows with final ids 3000..3005; 3000 and 3004 pass both
+	// filters, 3002 only the 50% one.
 	dvecs := testBase(t, 6, 16, 14)
-	ids := []int32{900, 901, 902, 903, 904, 905}
+	ids := []int32{3000, 3001, 3002, 3003, 3004, 3005}
 	seq := []int32{0, 1, 2, 3, 4, 5}
 	delta := &Delta{Chunks: []DeltaChunk{{Vecs: dvecs, IDs: ids, Seq: seq, Off: 0}}, Total: 6}
-
-	flt := makeBits(n+6, func(id int32) bool { return id%2 == 0 })
 	dead := NewTombstones()
-	dead.Delete(904) // a passing delta row that is tombstoned
-
+	dead.Delete(3004) // a passing delta row that is tombstoned
 	q := testBase(t, 1, 16, 15).Row(0)
 	ctx := NewSearchContext()
-	got := idx.Snapshot().SearchLiveFilteredCtx(ctx, q, 10, 64, nil, LiveQuery{Delta: delta, Dead: dead}, flt)
 
-	// Reference: exact over passing snapshot ids plus passing live delta ids.
-	var all []vecmath.Neighbor
-	for pub := int32(0); int(pub) < n; pub++ {
-		if bitTest(flt.Bits, pub) && !dead.Deleted(pub) {
-			all = append(all, vecmath.Neighbor{ID: pub, Dist: vecmath.L2(q, snap.Vector(pub))})
+	for _, tc := range []struct {
+		every int32
+		exact bool
+	}{{2, false}, {20, true}} {
+		flt := makeBits(n+6, func(id int32) bool { return id%tc.every == 0 })
+		got := snap.SearchLiveFilteredCtx(ctx, q, 10, 64, nil, LiveQuery{Delta: delta, Dead: dead}, flt)
+		if got.Exact != tc.exact || (got.Hops > 0) == tc.exact {
+			t.Fatalf("1/%d pass: exact %v hops %d, want the %s regime", tc.every, got.Exact, got.Hops, regime(tc.exact))
 		}
-	}
-	for j, id := range ids {
-		if bitTest(flt.Bits, id) && !dead.Deleted(id) {
-			all = append(all, vecmath.Neighbor{ID: id, Dist: vecmath.L2(q, dvecs.Row(j))})
-		}
-	}
-	sortNeighbors(all)
-	want := all[:10]
 
-	hit := 0
-	for _, w := range want {
-		for _, g := range got.Neighbors {
-			if g.ID == w.ID {
-				hit++
-				break
+		// Reference: exact over passing snapshot ids plus passing live delta ids.
+		var all []vecmath.Neighbor
+		for pub := int32(0); int(pub) < n; pub++ {
+			if bitTest(flt.Bits, pub) && !dead.Deleted(pub) {
+				all = append(all, vecmath.Neighbor{ID: pub, Dist: vecmath.L2(q, snap.Vector(pub))})
 			}
 		}
-		if dead.Deleted(w.ID) {
-			t.Fatalf("reference contains dead id %d", w.ID)
+		for j, id := range ids {
+			if bitTest(flt.Bits, id) && !dead.Deleted(id) {
+				all = append(all, vecmath.Neighbor{ID: id, Dist: vecmath.L2(q, dvecs.Row(j))})
+			}
 		}
-	}
-	for _, g := range got.Neighbors {
-		if g.ID == 904 {
-			t.Fatal("tombstoned delta id 904 emitted")
+		sortNeighbors(all)
+		want := all[:10]
+
+		for _, g := range got.Neighbors {
+			if g.ID == 3004 {
+				t.Fatal("tombstoned delta id 3004 emitted")
+			}
+			if !bitTest(flt.Bits, g.ID) {
+				t.Fatalf("non-passing id %d emitted", g.ID)
+			}
 		}
-		if !bitTest(flt.Bits, g.ID) {
-			t.Fatalf("non-passing id %d emitted", g.ID)
+		if tc.exact {
+			for i := range want {
+				if i >= len(got.Neighbors) || got.Neighbors[i] != want[i] {
+					t.Fatalf("exact scan result %d: %v, want %v", i, got.Neighbors, want)
+				}
+			}
+		} else if r := recallOf(got.Neighbors, want); r < 0.9 {
+			t.Errorf("live filtered recall %.2f < 0.9", r)
 		}
-	}
-	if float64(hit)/float64(len(want)) < 0.9 {
-		t.Errorf("live filtered recall %.2f < 0.9 (%d/%d)", float64(hit)/float64(len(want)), hit, len(want))
 	}
 }

@@ -58,6 +58,10 @@ type Sharded struct {
 	scratch   sync.Pool // *fanScratch
 	cohorts   sync.Pool // *cohortFan
 
+	// owners caches each shard's global-id membership bitmap for
+	// NewFilter's per-shard counts (see filtered.go).
+	owners atomic.Pointer[shardOwners]
+
 	// Live-update state (see live.go): one handle per shard plus frozen
 	// routing vectors once EnableLive ran, published through an atomic
 	// pointer so enabling is safe while searches are in flight; liveMu
@@ -110,8 +114,9 @@ func DefaultParams(shards int) Params {
 // the "machine group" performed for the query (the paper's o·l cost model
 // applied per partition).
 type SearchStats struct {
-	Hops      int    // greedy expansions, summed over shards
-	DistComps uint64 // exact distance evaluations, summed over shards
+	Hops       int    // greedy expansions, summed over shards
+	DistComps  uint64 // exact distance evaluations, summed over shards
+	ExactScans int    // shards that answered a filtered query by exact scan
 }
 
 // buildShard partitions out one shard's rows and builds its NSG. perm is
@@ -318,6 +323,7 @@ type fanScratch struct {
 	bufs  [][]vecmath.Neighbor
 	hops  []int
 	comps []uint64
+	exact []bool // filtered fans: shard answered by exact scan
 	// merged is the concatenate-sort-truncate buffer for combining the
 	// per-shard lists; seq is the context SearchSequential reuses.
 	merged []vecmath.Neighbor
@@ -336,6 +342,7 @@ func (s *Sharded) getScratch() *fanScratch {
 		bufs:  make([][]vecmath.Neighbor, len(s.shards)),
 		hops:  make([]int, len(s.shards)),
 		comps: make([]uint64, len(s.shards)),
+		exact: make([]bool, len(s.shards)),
 	}
 }
 

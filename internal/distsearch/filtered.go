@@ -1,6 +1,7 @@
 package distsearch
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
@@ -19,26 +20,13 @@ import (
 // ShardedFilter is one compiled predicate prepared for fan-out: the global
 // bitmap plus a per-shard core.Filter view with that shard's id translation
 // and passing count (which drives each shard's selectivity adaptation —
-// navigation-pool sizing and the brute-force cutoff — independently).
+// navigation-pool sizing and the exact-scan planner — independently).
 // Compile once per predicate and reuse across queries; the struct is
 // read-only after NewFilter.
 type ShardedFilter struct {
 	Bits  []uint64 // global-id-keyed passing bitmap (fail-closed past its end)
 	Count int      // total passing rows across all shards
 	per   []core.Filter
-}
-
-// globalBit tests a global id against the bitmap, failing closed out of
-// range — the same contract core's bitTest has.
-func globalBit(bits []uint64, id int32) bool {
-	if id < 0 {
-		return false
-	}
-	w := int(id >> 6)
-	if w >= len(bits) {
-		return false
-	}
-	return bits[w]>>(uint(id)&63)&1 != 0
 }
 
 // NewFilter prepares a compiled bitmap (global-id keyed, with its total
@@ -48,16 +36,63 @@ func globalBit(bits []uint64, id int32) bool {
 // only tune per-shard traversal adaptivity.
 func (s *Sharded) NewFilter(bits []uint64, count int) *ShardedFilter {
 	sf := &ShardedFilter{Bits: bits, Count: count, per: make([]core.Filter, len(s.shards))}
+	owners := s.ownerMasks()
 	for sh := range s.shards {
-		n := 0
-		for _, gid := range s.localID[sh] {
-			if globalBit(bits, gid) {
-				n++
-			}
-		}
-		sf.per[sh] = core.Filter{Bits: bits, Count: n, Remap: s.localID[sh]}
+		sf.per[sh] = core.Filter{Bits: bits, Count: andCount(bits, owners.masks[sh]), Remap: s.localID[sh]}
 	}
 	return sf
+}
+
+// shardOwners holds, per shard, the bitmap of the global ids the shard
+// owns, so a shard's passing count is a popcount of bits AND mask — a few
+// hundred words — instead of a random bit probe per shard row. It is
+// keyed by the id-map lengths it was built from: id maps only ever grow by
+// appending, so equal lengths mean equal maps.
+type shardOwners struct {
+	lens  []int
+	masks [][]uint64
+}
+
+// ownerMasks returns the owner masks for the current id maps, rebuilding
+// them (O(rows), once per id-map change) when a map has grown.
+func (s *Sharded) ownerMasks() *shardOwners {
+	if o := s.owners.Load(); o != nil && len(o.lens) == len(s.localID) {
+		fresh := true
+		for sh, ids := range s.localID {
+			fresh = fresh && o.lens[sh] == len(ids)
+		}
+		if fresh {
+			return o
+		}
+	}
+	o := &shardOwners{lens: make([]int, len(s.localID)), masks: make([][]uint64, len(s.localID))}
+	for sh, ids := range s.localID {
+		o.lens[sh] = len(ids)
+		top := int32(-1)
+		for _, gid := range ids {
+			top = max(top, gid)
+		}
+		mask := make([]uint64, meta.BitsLen(int(top)+1))
+		for _, gid := range ids {
+			if gid >= 0 {
+				mask[gid>>6] |= 1 << uint(gid&63)
+			}
+		}
+		o.masks[sh] = mask
+	}
+	s.owners.Store(o)
+	return o
+}
+
+// andCount popcounts a AND b over their common words: the ids set in both,
+// so ids past either bitmap count as absent.
+func andCount(a, b []uint64) int {
+	b = b[:min(len(a), len(b))]
+	n := 0
+	for i, w := range b {
+		n += bits.OnesCount64(a[i] & w)
+	}
+	return n
 }
 
 // CompileFilter compiles a predicate against the index's global metadata
@@ -89,8 +124,7 @@ func (f *fanScratch) runFiltered(ctx *core.SearchContext, counter *vecmath.Count
 		if f.stats {
 			counter.Reset()
 			res = h.SearchFilteredCtx(ctx, f.query, f.k, f.l, counter, flt)
-			f.hops[sh] = res.Hops
-			f.comps[sh] = counter.Count()
+			f.hops[sh], f.comps[sh], f.exact[sh] = res.Hops, counter.Count(), res.Exact
 		} else {
 			res = h.SearchFilteredCtx(ctx, f.query, f.k, f.l, nil, flt)
 		}
@@ -101,8 +135,7 @@ func (f *fanScratch) runFiltered(ctx *core.SearchContext, counter *vecmath.Count
 	if f.stats {
 		counter.Reset()
 		res = s.shards[sh].SearchFilteredWithHopsCtx(ctx, f.query, f.k, f.l, nil, flt, counter)
-		f.hops[sh] = res.Hops
-		f.comps[sh] = counter.Count()
+		f.hops[sh], f.comps[sh], f.exact[sh] = res.Hops, counter.Count(), res.Exact
 	} else {
 		res = s.shards[sh].SearchFilteredWithHopsCtx(ctx, f.query, f.k, f.l, nil, flt, nil)
 	}
@@ -122,7 +155,7 @@ func (s *Sharded) searchFanFiltered(dst []vecmath.Neighbor, q []float32, k, l in
 	f.query, f.k, f.l, f.stats, f.flt = q, k, l, withStats, flt
 	active := 0
 	for sh := range s.shards {
-		f.hops[sh], f.comps[sh] = 0, 0
+		f.hops[sh], f.comps[sh], f.exact[sh] = 0, 0, false
 		if flt.per[sh].Count == 0 {
 			f.bufs[sh] = f.bufs[sh][:0] // pooled scratch: drop stale results
 			continue
@@ -142,6 +175,9 @@ func (s *Sharded) searchFanFiltered(dst []vecmath.Neighbor, q []float32, k, l in
 		for sh := range s.shards {
 			st.Hops += f.hops[sh]
 			st.DistComps += f.comps[sh]
+			if f.exact[sh] {
+				st.ExactScans++
+			}
 		}
 	}
 	f.flt = nil
@@ -166,7 +202,8 @@ func (s *Sharded) SearchFilteredAppend(dst []vecmath.Neighbor, q []float32, k, l
 }
 
 // SearchFilteredStatsAppend is SearchFilteredAppend plus the summed
-// per-shard work accounting.
+// per-shard work accounting, including how many shards answered by exact
+// scan.
 func (s *Sharded) SearchFilteredStatsAppend(dst []vecmath.Neighbor, q []float32, k, l int, flt *ShardedFilter) ([]vecmath.Neighbor, SearchStats) {
 	if flt == nil {
 		return s.searchFan(dst, q, k, l, true)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // The metadata blob is one self-contained little-endian byte string,
@@ -31,7 +32,7 @@ const (
 	maxCols    = 1024
 	maxNameLen = 255
 	maxDict    = 1 << 24
-	maxRows    = 1 << 31
+	maxRows    = math.MaxInt32 // row ids are int32; fits int on 32-bit targets too
 )
 
 // AppendEncode appends the store's current published view to dst and
@@ -125,7 +126,7 @@ func Decode(data []byte, wantRows int) (*Store, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if rows < 0 || rows >= maxRows {
+	if rows < 0 || rows > maxRows { // a count past 2^31 reads negative on 32-bit targets
 		return nil, fmt.Errorf("meta: invalid row count %d", rows)
 	}
 	if wantRows >= 0 && rows != wantRows {

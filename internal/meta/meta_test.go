@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -40,11 +41,14 @@ func testStore(t *testing.T, rows int, seed int64) *Store {
 }
 
 // TestCompileMatchesParity gates the bitmap compiler against the per-row
-// reference evaluator on every predicate form.
+// reference evaluator on every predicate form: over the random store, and
+// over an edge store (int64 extremes and negatives, rows missing their enum
+// value, rows with 0, 1 and many tags) at row counts on and around 64-row
+// word boundaries.
 func TestCompileMatchesParity(t *testing.T) {
 	const rows = 700
 	s := testStore(t, rows, 7)
-	preds := []Predicate{
+	checkCompileParity(t, s, []Predicate{
 		Eq("price", int64(250)),
 		Eq("category", "cat3"),
 		Range("price", 100, 399),
@@ -59,28 +63,173 @@ func TestCompileMatchesParity(t *testing.T) {
 		And(), // matches everything
 		Or(),  // matches nothing
 		{},    // zero predicate matches nothing
+	})
+	edge := []Predicate{
+		Range("v", 5, -5), // lo > hi: empty
+		Range("v", 7, 7),  // lo == hi
+		Range("v", 0, 0),
+		Range("v", -100, 100),
+		Range("v", math.MinInt64, math.MaxInt64),
+		Range("v", math.MinInt64, -1),
+		Range("v", 0, math.MaxInt64),
+		Range("v", math.MinInt64, math.MinInt64),
+		Range("v", math.MaxInt64, math.MaxInt64),
+		Range("v", math.MaxInt64, math.MinInt64),
+		Eq("v", int64(-1)),
+		Eq("v", int64(math.MinInt64)),
+		Eq("v", int64(math.MaxInt64)),
+		In("v", int64(math.MaxInt64), int64(-1), int64(math.MinInt64), int64(0), int64(5), int64(5)),
+		In("v", int64(-7)),
+		In("v"),
+		Eq("cat", "b"),
+		Eq("cat", "nosuch"), // absent from the dictionary
+		Eq("cat", ""),
+		In("cat", "a", "nosuch", "c"),
+		In("cat", "nosuch"),
+		In("cat"),
+		HasTag("tags", "t0"),
+		HasTag("tags", "t4"),
+		HasTag("tags", "nosuch"),
+		And(Range("v", -500, 500), HasTag("tags", "t1")),
+		Or(Eq("cat", "a"), In("v", int64(math.MinInt64), int64(3))),
 	}
-	bits := make([]uint64, BitsLen(rows))
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 701} {
+		checkCompileParity(t, edgeStore(t, n, int64(n)), edge)
+	}
+}
+
+// edgeStore builds rows rows over columns v (int64: extremes, negatives
+// and small values), cat (enum; every 7th row has no value) and tags (0,
+// 1, 3 or 5 tags per row, from t0..t4).
+func edgeStore(t testing.TB, rows int, seed int64) *Store {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s := New(0)
+	if err := s.AddInt64("v", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddEnum("cat", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddTags("tags", nil); err != nil {
+		t.Fatal(err)
+	}
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 7, math.MaxInt64 - 1, math.MaxInt64}
+	for i := 0; i < rows; i++ {
+		v := rng.Int63n(2001) - 1000
+		if rng.Intn(3) == 0 {
+			v = extremes[rng.Intn(len(extremes))]
+		}
+		row := map[string]any{"v": v}
+		if i%7 != 0 {
+			row["cat"] = []string{"a", "b", "c"}[rng.Intn(3)]
+		}
+		var tags []string
+		for j := 0; j < []int{0, 1, 3, 5}[i%4]; j++ {
+			tags = append(tags, fmt.Sprintf("t%d", rng.Intn(5)))
+		}
+		row["tags"] = tags
+		if err := s.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// checkCompileParity compiles every predicate into a bitmap one word longer
+// than needed (pre-filled with ones, so a stale word would show) and checks
+// every bit against Matches, the padding against zero and the count
+// against the bitmap's popcount.
+func checkCompileParity(t testing.TB, s *Store, preds []Predicate) {
+	t.Helper()
+	rows := s.Rows()
+	bits := make([]uint64, BitsLen(rows)+1)
 	for pi, p := range preds {
+		for i := range bits {
+			bits[i] = ^uint64(0)
+		}
 		count, err := s.Compile(p, bits)
 		if err != nil {
-			t.Fatalf("pred %d: %v", pi, err)
+			t.Fatalf("rows %d pred %d: %v", rows, pi, err)
 		}
 		got := 0
-		for row := 0; row < rows; row++ {
+		for row := 0; row < len(bits)*64; row++ {
 			want := s.Matches(p, row)
 			have := bits[row>>6]&(1<<uint(row&63)) != 0
 			if want != have {
-				t.Fatalf("pred %d row %d: compile=%v matches=%v", pi, row, have, want)
+				t.Fatalf("rows %d pred %d row %d: compile=%v matches=%v", rows, pi, row, have, want)
 			}
 			if have {
 				got++
 			}
 		}
 		if got != count {
-			t.Fatalf("pred %d: Compile count %d, bitmap has %d", pi, count, got)
+			t.Fatalf("rows %d pred %d: Compile count %d, bitmap has %d", rows, pi, count, got)
 		}
 	}
+}
+
+// FuzzCompile drives the branch-free compiler with fuzzer-chosen rows and
+// operands: every bit of the bitmap must equal Matches on its row, and the
+// count must equal the popcount. Each 3-byte group of data is one row: an
+// int64 value (bytes 254 and 255 map to MinInt64 and MaxInt64, others to
+// a signed byte), an enum value (c0..c3, or missing) and a tag mask over
+// t0..t3.
+func FuzzCompile(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 254, 2, 15, 255, 4, 3}, int64(0), int64(1), uint8(0))
+	f.Add([]byte{128, 3, 8, 127, 4, 0}, int64(math.MinInt64), int64(math.MaxInt64), uint8(1))
+	f.Add(make([]byte, 3*130), int64(-5), int64(-5), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi int64, pick uint8) {
+		if len(data) > 3*320 {
+			t.Skip("five 64-row words are enough; longer inputs only slow minimization")
+		}
+		s := New(0)
+		if err := s.AddInt64("v", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddEnum("cat", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddTags("tags", nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+3 <= len(data); i += 3 {
+			v := int64(int8(data[i]))
+			switch data[i] {
+			case 254:
+				v = math.MinInt64
+			case 255:
+				v = math.MaxInt64
+			}
+			row := map[string]any{"v": v}
+			if c := data[i+1] % 5; c < 4 {
+				row["cat"] = fmt.Sprintf("c%d", c)
+			}
+			var tags []string
+			for j := 0; j < 4; j++ {
+				if data[i+2]>>j&1 != 0 {
+					tags = append(tags, fmt.Sprintf("t%d", j))
+				}
+			}
+			row["tags"] = tags
+			if err := s.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tag := fmt.Sprintf("t%d", pick%5)
+		cat := fmt.Sprintf("c%d", pick%5)
+		preds := []Predicate{
+			Range("v", lo, hi),
+			Eq("v", lo),
+			In("v", lo, hi, lo^hi),
+			Eq("cat", cat),
+			In("cat", cat, fmt.Sprintf("c%d", (pick/5)%5)),
+			HasTag("tags", tag),
+			And(Range("v", lo, hi), HasTag("tags", tag)),
+			Or(Eq("cat", cat), Range("v", lo, hi)),
+		}
+		checkCompileParity(t, s, preds)
+	})
 }
 
 func TestCompileErrors(t *testing.T) {

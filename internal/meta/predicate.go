@@ -2,6 +2,8 @@ package meta
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -193,11 +195,7 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 			if p.isStr {
 				return fmt.Errorf("meta: column %q is int64, Eq got a string", p.col)
 			}
-			for i, val := range c.ints[:v.rows] {
-				if val == p.num {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			rangeWords(dst, c.ints[:v.rows], p.num, 0)
 		case TypeEnum:
 			if !p.isStr {
 				return fmt.Errorf("meta: column %q is enum, Eq got an integer", p.col)
@@ -206,11 +204,7 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 			if code == missingCode {
 				return nil // value absent from the dictionary: empty result
 			}
-			for i, rc := range c.codes[:v.rows] {
-				if rc == code {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			eqCodeWords(dst, c.codes[:v.rows], code)
 		default:
 			return fmt.Errorf("meta: Eq on %s column %q (use HasTag)", c.typ, p.col)
 		}
@@ -218,44 +212,35 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 		if c.typ != TypeInt64 {
 			return fmt.Errorf("meta: Range on %s column %q", c.typ, p.col)
 		}
-		for i, val := range c.ints[:v.rows] {
-			if val >= p.lo && val <= p.hi {
-				dst[i>>6] |= 1 << uint(i&63)
-			}
+		if p.lo > p.hi {
+			return nil // empty range
 		}
+		rangeWords(dst, c.ints[:v.rows], p.lo, uint64(p.hi-p.lo))
 	case opIn:
 		switch c.typ {
 		case TypeInt64:
 			if p.isStr {
 				return fmt.Errorf("meta: column %q is int64, In got strings", p.col)
 			}
-			set := make(map[int64]struct{}, len(p.nums))
-			for _, n := range p.nums {
-				set[n] = struct{}{}
+			if len(p.nums) == 0 {
+				return nil
 			}
-			for i, val := range c.ints[:v.rows] {
-				if _, ok := set[val]; ok {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			set := slices.Clone(p.nums)
+			slices.Sort(set)
+			inWords(dst, c.ints[:v.rows], slices.Compact(set))
 		case TypeEnum:
 			if !p.isStr && len(p.nums) > 0 {
 				return fmt.Errorf("meta: column %q is enum, In got integers", p.col)
 			}
-			want := make(map[int32]struct{}, len(p.strs))
+			// want holds bit code+1 for every wanted dictionary code; bit 0
+			// (missingCode+1) stays clear, so rows without a value fail.
+			want := make([]uint64, BitsLen(len(c.dict)+1))
 			for _, s := range p.strs {
 				if code := c.code(s); code != missingCode {
-					want[code] = struct{}{}
+					want[(code+1)>>6] |= 1 << uint((code+1)&63)
 				}
 			}
-			if len(want) == 0 {
-				return nil
-			}
-			for i, rc := range c.codes[:v.rows] {
-				if _, ok := want[rc]; ok {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			lookupWords(dst, c.codes[:v.rows], want)
 		default:
 			return fmt.Errorf("meta: In on %s column %q (use HasTag)", c.typ, p.col)
 		}
@@ -267,17 +252,114 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 		if code == missingCode {
 			return nil
 		}
-		for i := 0; i < v.rows; i++ {
-			row := c.tags[c.offs[i]:c.offs[i+1]]
-			j := sort.Search(len(row), func(k int) bool { return row[k] >= code })
-			if j < len(row) && row[j] == code {
-				dst[i>>6] |= 1 << uint(i&63)
-			}
-		}
+		tagWords(dst, c.offs[:v.rows+1], c.tags, code)
 	default:
 		return fmt.Errorf("meta: invalid predicate op %d", p.op)
 	}
 	return nil
+}
+
+// The leaf kernels below build each 64-row word of the bitmap in a
+// register and store it once. Their per-row tests are branch-free: a
+// predicate over random metadata passes rows in no pattern a branch
+// predictor could learn, so a data-dependent branch per row mispredicts
+// about half the time at 50% selectivity. Shifts are masked with &63 so
+// the compiler emits a bare shift.
+
+// rangeWords sets bit i when lo <= vals[i] <= lo+span (span = hi-lo, as
+// uint64; Eq is span 0). vals[i]-lo wraps, so the unsigned difference is at
+// most span exactly for in-range values, and bits.Sub64's borrow is the
+// comparison: the loop gathers the out-of-range bits and the store inverts
+// them.
+func rangeWords(dst []uint64, vals []int64, lo int64, span uint64) {
+	for w := range dst {
+		chunk := vals[w<<6 : min(w<<6+64, len(vals))]
+		var out uint64
+		for j, val := range chunk {
+			_, borrow := bits.Sub64(span, uint64(val-lo), 0)
+			out |= borrow << (uint(j) & 63)
+		}
+		dst[w] = ^out & lowBits(len(chunk))
+	}
+}
+
+// lowBits returns a word with the low n bits set, 1 <= n <= 64 (a word
+// covers at least one row).
+func lowBits(n int) uint64 {
+	return ^uint64(0) >> (uint(64-n) & 63)
+}
+
+// neBit is 1 when a != b: the 32-bit difference widened to 64 bits plus
+// 2^32-1 carries into bit 32 exactly when it is non-zero.
+func neBit(a, b int32) uint64 {
+	return (uint64(uint32(a^b)) + 1<<32 - 1) >> 32
+}
+
+// eqCodeWords sets bit i when codes[i] == code.
+func eqCodeWords(dst []uint64, codes []int32, code int32) {
+	for w := range dst {
+		chunk := codes[w<<6 : min(w<<6+64, len(codes))]
+		var ne uint64
+		for j, rc := range chunk {
+			ne |= neBit(rc, code) << (uint(j) & 63)
+		}
+		dst[w] = ^ne & lowBits(len(chunk))
+	}
+}
+
+// lookupWords sets bit i when bit codes[i]+1 of want is set (want covers
+// every dictionary code plus the missing code).
+func lookupWords(dst []uint64, codes []int32, want []uint64) {
+	for w := range dst {
+		var word uint64
+		for j, rc := range codes[w<<6 : min(w<<6+64, len(codes))] {
+			i := uint32(rc + 1)
+			word |= want[i>>6] >> (i & 63) & 1 << (uint(j) & 63)
+		}
+		dst[w] = word
+	}
+}
+
+// inWords sets bit i when vals[i] is in set (sorted, distinct, non-empty).
+// Each row runs a fixed-length binary search for the last element <= the
+// value, comparing signed values through bits.Sub64 with the sign bit
+// flipped, then tests that element for equality.
+func inWords(dst []uint64, vals []int64, set []int64) {
+	const sign = 1 << 63
+	for w := range dst {
+		var word uint64
+		for j, val := range vals[w<<6 : min(w<<6+64, len(vals))] {
+			base := 0
+			for n := len(set); n > 1; n -= n / 2 {
+				half := n / 2
+				_, less := bits.Sub64(uint64(val)^sign, uint64(set[base+half])^sign, 0)
+				base += int(less^1) * half
+			}
+			d := uint64(val ^ set[base])
+			word |= ((d|-d)>>63 ^ 1) << (uint(j) & 63)
+		}
+		dst[w] = word
+	}
+}
+
+// tagWords sets bit i when row i's tag list tags[offs[i]:offs[i+1]] holds
+// code. Tag lists are short, so one pass over the tags that ANDs each
+// row's inequality bits beats a per-row binary search; the cursor p walks
+// the concatenated lists once.
+func tagWords(dst []uint64, offs, tags []int32, code int32) {
+	p := int(offs[0])
+	for w := range dst {
+		ends := offs[w<<6+1 : min(w<<6+65, len(offs))]
+		var out uint64
+		for j, end := range ends {
+			miss := uint64(1)
+			for ; p < int(end); p++ {
+				miss &= neBit(tags[p], code)
+			}
+			out |= miss << (uint(j) & 63)
+		}
+		dst[w] = ^out & lowBits(len(ends))
+	}
 }
 
 func setAll(dst []uint64, rows int) {

@@ -7,11 +7,14 @@ import (
 
 // SearchStats reports the work one query performed, for capacity planning
 // and parameter tuning: Hops is the number of greedy expansions (the
-// paper's path length l in its o·l cost model) and DistanceComputations the
-// number of exact distance evaluations.
+// paper's path length l in its o·l cost model), DistanceComputations the
+// number of exact distance evaluations, and ExactScans the number of shards
+// whose filtered search scored the passing set by exact scan instead of
+// walking the graph (always 0 for unfiltered searches).
 type SearchStats struct {
 	Hops                 int
 	DistanceComputations uint64
+	ExactScans           int
 }
 
 // SearchWithStats is SearchWithPool plus per-query work accounting.

@@ -104,3 +104,42 @@ func TestSearchWithStatsCountsOneSearchWithDeletes(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedFilteredStatsExactScans: SearchFilteredWithStats reports how
+// many shards answered by exact scan. At 50% of 2400 rows per shard every
+// shard walks; a 600-row price range leaves ~300 passing rows per shard,
+// which every shard scans; an unfiltered search never scans.
+func TestShardedFilteredStatsExactScans(t *testing.T) {
+	ds := shardedTestData(t, 4800, 4)
+	idx := buildShardedIndex(t, ds, 2)
+	defer idx.Close()
+	attachTestMetadata(t, idx.SetMetadata, 4800)
+	q := ds.Queries.Row(0)
+
+	_, _, st := idx.SearchWithStats(q, 10, 60)
+	if st.ExactScans != 0 || st.Hops == 0 {
+		t.Fatalf("unfiltered stats %+v, want hops > 0 and no exact scans", st)
+	}
+	for _, tc := range []struct {
+		pred  Predicate
+		exact bool
+	}{
+		{HasTag("tags", "even"), false},
+		{Range("price", 0, 3*599), true},
+	} {
+		f, err := idx.CompileFilter(tc.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, _, st := idx.SearchFilteredWithStats(q, 10, 60, f)
+		if len(ids) != 10 || st.DistanceComputations == 0 {
+			t.Fatalf("exact=%v: %d results, stats %+v", tc.exact, len(ids), st)
+		}
+		if tc.exact && (st.ExactScans != 2 || st.Hops != 0) {
+			t.Fatalf("scan regime stats %+v, want 2 exact scans and no hops", st)
+		}
+		if !tc.exact && (st.ExactScans != 0 || st.Hops == 0) {
+			t.Fatalf("walk regime stats %+v, want hops > 0 and no exact scans", st)
+		}
+	}
+}
